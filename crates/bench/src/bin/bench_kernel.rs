@@ -1,7 +1,9 @@
 //! Micro-benchmark of the batch FFT/MASS distance kernel against the
 //! naive early-abandoning sliding loop, across series lengths and both
-//! metrics. Writes `results/BENCH_kernel.json` (consumed by the README's
-//! Performance section and uploaded as a CI artifact).
+//! metrics, plus the naive z-normalized min-distance kernel at exact
+//! scoring's request geometries. Writes `results/BENCH_kernel.json`
+//! (consumed by the README's Performance section and uploaded as a CI
+//! artifact).
 //!
 //! ```sh
 //! cargo run -p ips-bench --release --bin bench_kernel
@@ -16,6 +18,20 @@
 //! - `auto`: the production crossover heuristic, which must track
 //!   whichever of the two is faster.
 //!
+//! The `znorm_naive` rows time one request of a query of length `m`
+//! against a series of length `n`, in ns, three ways over the same 32
+//! queries (all three bit-identical, checked before timing):
+//! - `reference`: the profile path — allocate the whole distance profile
+//!   (`dist_profile_znorm`), take its first argmin, convert to `d²/m`;
+//! - `kernel`: `sliding_min_dist_znorm`, the allocation-free four-window
+//!   kernel building the series' window statistics per call;
+//! - `series_major`: `DistCache::evaluate` over the 32 requests, window
+//!   statistics built once per (series, length) — exact scoring's path.
+//!
+//! The geometries are those of exact top-k scoring in the repository
+//! benchmark's `fit-exact` workload: queries of 24–120 points over
+//! 240-point series, and of 13–64 points over 38–128-point series.
+//!
 //! Timings are per-arm minima over many short (~0.25 ms) interleaved
 //! samples. On a shared 1-CPU container interference is heavy (paired
 //! samples of *identical* code span ±15% at the 10th/90th percentile);
@@ -27,7 +43,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ips_distance::{batch_min_dist, batch_min_dist_with, KernelPolicy, Metric};
+use ips_distance::{
+    argmin, batch_min_dist, batch_min_dist_with, dist_profile_znorm, sliding_min_dist_znorm,
+    DistCache, KernelPolicy, Metric, MinDistRequest,
+};
 
 /// Deterministic pseudo-random stream (splitmix64) — benchmark inputs
 /// must not depend on an RNG crate or wall-clock seeding.
@@ -96,6 +115,111 @@ struct Case {
     auto_ms: f64,
     speedup_kernel: f64,
     speedup_auto: f64,
+}
+
+/// One `znorm_naive` row: ns per request for each arm.
+struct NaiveRow {
+    n: usize,
+    m: usize,
+    reference_ns: f64,
+    kernel_ns: f64,
+    series_major_ns: f64,
+}
+
+/// The profile path exact scoring used before the allocation-free kernel:
+/// the whole distance profile, its first argmin, then `d²/m`.
+fn profile_min_dist(q: &[f64], s: &[f64]) -> (f64, usize) {
+    argmin(&dist_profile_znorm(q, s))
+        .map_or((f64::INFINITY, 0), |(i, d)| (d * d / q.len() as f64, i))
+}
+
+/// Times the three z-norm naive arms at each geometry (see the module
+/// docs), per-arm minima over `passes × reps` rotated short samples.
+fn znorm_naive_rows(passes: usize, reps: usize) -> Vec<NaiveRow> {
+    const GEOMETRIES: [(usize, usize); 10] = [
+        (24, 240),
+        (48, 240),
+        (72, 240),
+        (96, 240),
+        (120, 240),
+        (13, 38),
+        (13, 128),
+        (26, 64),
+        (38, 128),
+        (64, 128),
+    ];
+    const REQUESTS: usize = 32;
+    let mut rows: Vec<NaiveRow> = Vec::new();
+    for pass in 0..passes {
+        for (idx, &(m, n)) in GEOMETRIES.iter().enumerate() {
+            let s = series(n, 0x5E41_u64 + n as u64);
+            let source = series(m + REQUESTS, 0xC0DE_u64 + m as u64);
+            let queries: Vec<&[f64]> = (0..REQUESTS).map(|i| &source[i..i + m]).collect();
+            let requests: Vec<MinDistRequest> = queries
+                .iter()
+                .map(|q| MinDistRequest::new(q, &s, Metric::ZNormEuclidean))
+                .collect();
+            let evaluator = DistCache::with_policy(KernelPolicy::ForceNaive);
+            let (series_major, _) = evaluator.evaluate(&requests);
+            for (q, got) in queries.iter().zip(&series_major) {
+                let want = profile_min_dist(q, &s);
+                let kernel = sliding_min_dist_znorm(q, &s);
+                assert!(
+                    want.0.to_bits() == kernel.0.to_bits() && want.1 == kernel.1,
+                    "kernel diverges from the profile path at m={m} n={n}"
+                );
+                assert!(
+                    want.0.to_bits() == got.0.to_bits() && want.1 == got.1,
+                    "series-major diverges from the profile path at m={m} n={n}"
+                );
+            }
+            let mut run_reference = || {
+                for q in &queries {
+                    std::hint::black_box(profile_min_dist(q, &s));
+                }
+            };
+            let mut run_kernel = || {
+                for q in &queries {
+                    std::hint::black_box(sliding_min_dist_znorm(q, &s));
+                }
+            };
+            let mut run_series_major = || {
+                std::hint::black_box(evaluator.evaluate(&requests));
+            };
+            let iters = [
+                calibrate(&mut run_reference),
+                calibrate(&mut run_kernel),
+                calibrate(&mut run_series_major),
+            ];
+            let mut best = [f64::INFINITY; 3];
+            for rep in 0..reps {
+                for slot in 0..3 {
+                    let arm = (rep + slot) % 3;
+                    let ms = match arm {
+                        0 => sample_ms(&mut run_reference, iters[0]),
+                        1 => sample_ms(&mut run_kernel, iters[1]),
+                        _ => sample_ms(&mut run_series_major, iters[2]),
+                    };
+                    best[arm] = best[arm].min(ms * 1e6 / REQUESTS as f64);
+                }
+            }
+            if pass == 0 {
+                rows.push(NaiveRow {
+                    n,
+                    m,
+                    reference_ns: best[0],
+                    kernel_ns: best[1],
+                    series_major_ns: best[2],
+                });
+            } else {
+                let r = &mut rows[idx];
+                r.reference_ns = r.reference_ns.min(best[0]);
+                r.kernel_ns = r.kernel_ns.min(best[1]);
+                r.series_major_ns = r.series_major_ns.min(best[2]);
+            }
+        }
+    }
+    rows
 }
 
 fn main() {
@@ -209,6 +333,25 @@ fn main() {
         );
     }
 
+    let naive_rows = znorm_naive_rows(passes, reps);
+    println!("\nz-norm naive min-distance, ns per request (32 requests per series)\n");
+    println!(
+        "{:>6} {:>6} {:>14} {:>12} {:>14} {:>9} {:>9}",
+        "n", "m", "reference ns", "kernel ns", "series-maj ns", "kern x", "s-maj x"
+    );
+    for r in &naive_rows {
+        println!(
+            "{:>6} {:>6} {:>14.1} {:>12.1} {:>14.1} {:>8.2}x {:>8.2}x",
+            r.n,
+            r.m,
+            r.reference_ns,
+            r.kernel_ns,
+            r.series_major_ns,
+            r.reference_ns / r.kernel_ns,
+            r.reference_ns / r.series_major_ns
+        );
+    }
+
     // hand-rolled JSON: the workspace deliberately carries no serde
     let mut json = String::from("{\n  \"bench\": \"kernel\",\n  \"queries_per_batch\": ");
     let _ = write!(
@@ -231,6 +374,23 @@ fn main() {
             c.speedup_kernel,
             c.speedup_auto,
             if i + 1 < cases.len() { "," } else { "" },
+        );
+    }
+    json.push_str("  ],\n  \"znorm_naive\": [\n");
+    for (i, r) in naive_rows.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"n\": {}, \"m\": {}, \"requests\": 32, \"reference_ns\": {:.1}, \
+             \"kernel_ns\": {:.1}, \"series_major_ns\": {:.1}, \"speedup_kernel\": {:.2}, \
+             \"speedup_series_major\": {:.2}}}{}",
+            r.n,
+            r.m,
+            r.reference_ns,
+            r.kernel_ns,
+            r.series_major_ns,
+            r.reference_ns / r.kernel_ns,
+            r.reference_ns / r.series_major_ns,
+            if i + 1 < naive_rows.len() { "," } else { "" },
         );
     }
     json.push_str("  ]\n}\n");

@@ -275,6 +275,64 @@ fn forced_kernel_scoring_matches_naive_scores() {
     assert!(stats.kernel_evals + stats.cache_hits > 0);
 }
 
+/// Series-major exact scoring (record → evaluate → replay) must reproduce
+/// the uncached per-request reference `score_exact` bit for bit. With `k`
+/// as large as the pool, the selector admits every distinct motif, so each
+/// class's whole score vector is compared through the shapelets' scores
+/// (`score = −u`).
+#[test]
+fn selector_scores_equal_uncached_score_exact_bitwise() {
+    use ips_core::engine::UtilitySelector;
+    use ips_core::{score_exact, ExecContext, Selector, WorkerPool};
+    let (train, _) = registry::load("ItalyPowerDemand").unwrap();
+    let mut cfg = base_cfg();
+    cfg.use_dt_cr = false;
+    let pool = generate_candidates(&train, &cfg);
+    let cfg = cfg.with_k(pool.len());
+    let classes = pool.classes();
+    let reference: Vec<Vec<f64>> = classes
+        .iter()
+        .map(|&c| score_exact(&pool, &train, &cfg, c))
+        .collect();
+    for threads in [1, 2, 4] {
+        for chunk in [ChunkSize::Auto, ChunkSize::Fixed(7)] {
+            let cfg = cfg.clone().with_threads(threads).with_chunk_size(chunk);
+            let mut ctx = ExecContext::new(WorkerPool::new(threads));
+            let selection = UtilitySelector::new(cfg)
+                .select(&pool, &train, None, &mut ctx)
+                .unwrap();
+            let tag = format!("threads={threads} chunk={chunk:?}");
+            let mut compared = vec![0usize; classes.len()];
+            for s in &selection.shapelets {
+                let ci = classes.iter().position(|&c| c == s.class).unwrap();
+                let idx = pool
+                    .motifs_of(s.class)
+                    .position(|m| {
+                        (m.source_instance, m.source_offset, m.values.len())
+                            == (s.source_instance, s.source_offset, s.values.len())
+                    })
+                    .unwrap();
+                assert_eq!(
+                    s.score.to_bits(),
+                    (-reference[ci][idx]).to_bits(),
+                    "{tag}: class {} motif {idx}",
+                    s.class
+                );
+                compared[ci] += 1;
+            }
+            for (ci, &c) in classes.iter().enumerate() {
+                let mut distinct: Vec<(usize, usize, usize)> = pool
+                    .motifs_of(c)
+                    .map(|m| (m.source_instance, m.source_offset, m.values.len()))
+                    .collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(compared[ci], distinct.len(), "{tag}: class {c} coverage");
+            }
+        }
+    }
+}
+
 /// The tentpole determinism contract: the work-item scheduler must make
 /// results *and counters* a pure function of the workload and the
 /// `chunk_size` knob — bit-identical at every thread count for any fixed
@@ -285,7 +343,7 @@ fn engine_is_bit_identical_across_threads_and_chunk_sizes() {
     for fft in [true, false] {
         let mut cfg = base_cfg();
         cfg.use_fft_kernel = fft;
-        cfg.use_dt_cr = false; // Exact scoring exercises the distance shards
+        cfg.use_dt_cr = false; // Exact scoring exercises series-major evaluation
         let reference = IpsDiscovery::new(cfg.clone()).discover(&train).unwrap();
         for chunk in [ChunkSize::Auto, ChunkSize::Fixed(1), ChunkSize::Fixed(7)] {
             for threads in [1, 2, 4, 0] {
@@ -334,7 +392,7 @@ fn sampled_discovery_is_bit_identical_across_threads_chunks_and_fft() {
     for fft in [true, false] {
         let mut cfg = base_cfg().with_candidate_sampling(CandidateSampling::fraction(0.4));
         cfg.use_fft_kernel = fft;
-        cfg.use_dt_cr = false; // Exact scoring exercises the distance shards
+        cfg.use_dt_cr = false; // Exact scoring exercises series-major evaluation
         let mut dense_cfg = cfg.clone();
         dense_cfg.candidate_sampling = None;
         let dense = IpsDiscovery::new(dense_cfg).discover(&train).unwrap();

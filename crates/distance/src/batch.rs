@@ -22,7 +22,9 @@
 //! early-abandoning naive loops for short queries/series, where O(m·n)
 //! with abandoning beats O(N log N) constants.
 
-use crate::euclid::{sliding_min_dist, sliding_min_dist_znorm, znorm_dist_from_dot};
+use crate::euclid::{
+    query_mean_std, sliding_min_dist, sliding_min_dist_znorm, znorm_dist_from_dot,
+};
 use crate::fft::{Complex, Fft};
 use crate::metric::Metric;
 use crate::rolling::RollingStats;
@@ -279,9 +281,7 @@ impl SeriesPlan {
                 (best, best_at)
             }
             Metric::ZNormEuclidean => {
-                let mu_q = query.iter().sum::<f64>() / m as f64;
-                let sd_q =
-                    (query.iter().map(|x| (x - mu_q) * (x - mu_q)).sum::<f64>() / m as f64).sqrt();
+                let (mu_q, sd_q) = query_mean_std(query);
                 let stats = self.stats_for(series, m);
                 let mut best = f64::INFINITY;
                 let mut best_at = 0;

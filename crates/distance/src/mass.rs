@@ -7,7 +7,7 @@
 //! computation on long series; `ips_distance::dist_profile_znorm` is the
 //! O(n·m) reference it is validated against.
 
-use crate::euclid::znorm_dist_from_dot;
+use crate::euclid::{query_mean_std, znorm_dist_from_dot};
 use crate::fft::fft_convolve;
 use crate::rolling::RollingStats;
 
@@ -35,8 +35,7 @@ pub fn mass(query: &[f64], series: &[f64]) -> Vec<f64> {
     }
     let dots = sliding_dot_products(query, series);
     let stats = RollingStats::new(series, m);
-    let mu_q = query.iter().sum::<f64>() / m as f64;
-    let sd_q = (query.iter().map(|x| (x - mu_q) * (x - mu_q)).sum::<f64>() / m as f64).sqrt();
+    let (mu_q, sd_q) = query_mean_std(query);
     dots.iter()
         .enumerate()
         .map(|(j, &dot)| znorm_dist_from_dot(dot, m, mu_q, sd_q, stats.mean(j), stats.std(j)))

@@ -26,10 +26,18 @@
 //!   `sliding_min_dist_znorm`'s mean-squared scale reports `m/m = 1.0`.
 //!   Guarded flat inputs must never produce NaN (a NaN entry would poison
 //!   a strict `<` argmin scan, which never accepts NaN).
+//! * **Bit identity of the naive z-norm path**: `sliding_min_dist_znorm`,
+//!   `znorm_min_dist` over shared window stats, and the series-major
+//!   `DistCache::evaluate` all equal the profile reference — the whole
+//!   `dist_profile_znorm`, its first `argmin`, then `d²/m` — compared with
+//!   `to_bits`, offsets exact. `DistCache::evaluate` also equals
+//!   `DistCache::min_dist` bit for bit on requests the crossover sends to
+//!   the FFT kernel, with the same eval and fallback counts.
 
 use ips_distance::{
-    batch_min_dist_with, mass, mean_sq_dist, sliding_min_dist, sliding_min_dist_znorm, DistCache,
-    KernelPolicy, Metric,
+    argmin, batch_min_dist_with, dist_profile_znorm, mass, mean_sq_dist, sliding_min_dist,
+    sliding_min_dist_znorm, znorm_min_dist, DistCache, KernelPolicy, Metric, MinDistRequest,
+    RollingStats, ZNORM_SIGMA_FLOOR,
 };
 
 /// splitmix64 — deterministic, seedable, no dependencies.
@@ -267,5 +275,211 @@ fn query_longer_than_series_follows_swap_semantics() {
         let out = batch_min_dist_with(&[&q], &s, metric, KernelPolicy::ForceKernel)[0];
         let reference = naive(&q, &s, metric);
         assert!(close(out.0, reference.0), "{metric:?}");
+    }
+}
+
+// ---- bit identity of the allocation-free z-norm kernel ----------------
+
+/// The profile reference: the whole z-normalized distance profile, its
+/// first argmin (NaN skipped), then the `d²/m` scale conversion.
+fn profile_reference(q: &[f64], s: &[f64]) -> (f64, usize) {
+    let (q, s) = if q.len() <= s.len() { (q, s) } else { (s, q) };
+    if q.is_empty() {
+        return (f64::INFINITY, 0);
+    }
+    argmin(&dist_profile_znorm(q, s))
+        .map_or((f64::INFINITY, 0), |(i, d)| (d * d / q.len() as f64, i))
+}
+
+fn assert_bits(got: (f64, usize), want: (f64, usize), tag: &str) {
+    assert!(
+        got.0.to_bits() == want.0.to_bits() && got.1 == want.1,
+        "{tag}: got {got:?}, reference {want:?}"
+    );
+}
+
+/// Every z-norm entry point against the profile reference: the public
+/// sliding min, the kernel over shared stats, and the series-major
+/// evaluator (naive by policy and by crossover).
+fn check_znorm_bits(q: &[f64], s: &[f64], tag: &str) {
+    let want = profile_reference(q, s);
+    assert_bits(sliding_min_dist_znorm(q, s), want, tag);
+    let (oq, os) = if q.len() <= s.len() { (q, s) } else { (s, q) };
+    if !oq.is_empty() {
+        let stats = RollingStats::new(os, oq.len());
+        assert_bits(znorm_min_dist(oq, os, &stats), want, tag);
+    }
+    let req = [MinDistRequest::new(q, s, Metric::ZNormEuclidean)];
+    for policy in [KernelPolicy::ForceNaive, KernelPolicy::Auto] {
+        let (got, stats) = DistCache::with_policy(policy).evaluate(&req);
+        assert_bits(got[0], want, &format!("{tag} evaluate {policy:?}"));
+        assert_eq!((stats.kernel_evals, stats.cache_hits), (1, 0), "{tag}");
+    }
+}
+
+#[test]
+fn znorm_kernel_is_bit_identical_across_geometries() {
+    // Every (m, n) up to 24: m not a multiple of 4, window counts not a
+    // multiple of 4, and m == n.
+    let mut g = Gen(0xB175);
+    for n in 1..=24 {
+        let s = g.vec(n);
+        for m in 1..=n {
+            let q = g.vec(m);
+            check_znorm_bits(&q, &s, &format!("m={m} n={n}"));
+        }
+        // the query longer than the series swaps, as the reference does
+        let long = g.vec(n + 3);
+        check_znorm_bits(&long, &s, &format!("swap n={n}"));
+    }
+    for case in 0..cases() {
+        let mut g = Gen(0xB17E ^ (case as u64) << 1);
+        let slen = g.usize_in(1, 160);
+        let s = g.vec(slen);
+        let qlen = g.usize_in(1, 160);
+        let q = g.vec(qlen);
+        check_znorm_bits(&q, &s, &format!("case {case}"));
+    }
+}
+
+#[test]
+fn znorm_kernel_bit_identity_on_constant_and_near_floor_windows() {
+    for case in 0..cases() {
+        let mut g = Gen(0xF1A7 ^ (case as u64) << 1);
+        let level = g.value();
+        // σ just below, at and just above the zero-variance floor, so the
+        // constant / varying decision itself is exercised
+        let scale = [0.0, 0.5, 1.0, 2.0, 8.0][case % 5] * ZNORM_SIGMA_FLOOR * (1.0 + level.abs());
+        let head_len = g.usize_in(0, 12);
+        let head = g.vec(head_len);
+        let run = g.usize_in(4, 40);
+        let mut s = head;
+        for i in 0..run {
+            s.push(level + if i % 2 == 0 { scale } else { -scale });
+        }
+        let tail_len = g.usize_in(0, 12);
+        let tail = g.vec(tail_len);
+        s.extend(tail);
+        let qlen = g.usize_in(1, s.len());
+        let q: Vec<f64> = match case % 3 {
+            0 => vec![g.value(); qlen],
+            1 => (0..qlen)
+                .map(|i| level + if i % 2 == 0 { scale } else { -scale })
+                .collect(),
+            _ => g.vec(qlen),
+        };
+        check_znorm_bits(&q, &s, &format!("flat case {case}"));
+    }
+}
+
+#[test]
+fn znorm_kernel_bit_identity_with_nan() {
+    for case in 0..cases() {
+        let mut g = Gen(0x0A0A ^ (case as u64) << 1);
+        let slen = g.usize_in(2, 64);
+        let mut s = g.vec(slen);
+        let qlen = g.usize_in(1, slen);
+        let mut q = g.vec(qlen);
+        if case % 2 == 0 {
+            let at = g.usize_in(0, slen - 1);
+            s[at] = f64::NAN;
+        } else {
+            let at = g.usize_in(0, qlen - 1);
+            q[at] = f64::NAN;
+        }
+        check_znorm_bits(&q, &s, &format!("nan case {case}"));
+    }
+}
+
+#[test]
+fn znorm_kernel_bit_identity_on_near_ties() {
+    // A periodic series whose windows repeat up to tiny perturbations, and
+    // a query cut from it: many windows' correlations agree to within a
+    // few ulps (or saturate the clamp at 1), so the first-argmin choice
+    // and the kernel's skip tests are decided by last-bit differences.
+    for case in 0..cases() {
+        let mut g = Gen(0x71E5 ^ (case as u64) << 1);
+        let period = g.usize_in(3, 17);
+        let reps = g.usize_in(4, 12);
+        let base = g.vec(period);
+        let noise = [0.0, 1e-15, 1e-12, 1e-9, 1e-6][case % 5];
+        let s: Vec<f64> = (0..period * reps)
+            .map(|i| base[i % period] * (1.0 + noise * g.value() / 100.0))
+            .collect();
+        let qlen = g.usize_in(1, 3 * period).min(s.len());
+        let at = g.usize_in(0, s.len() - qlen);
+        let q: Vec<f64> = s[at..at + qlen]
+            .iter()
+            .map(|x| x * (1.0 + noise * g.value() / 100.0))
+            .collect();
+        check_znorm_bits(&q, &s, &format!("tie case {case}"));
+    }
+}
+
+/// Series-major evaluation over a mixed request list — shared series in
+/// several allocations, many query lengths, both metrics, requests the
+/// crossover sends to the FFT kernel — equals one fresh `min_dist` per
+/// request bit for bit, with the same eval and fallback counts.
+#[test]
+fn evaluate_matches_min_dist_on_naive_and_kernel_routes() {
+    let mut g = Gen(0xE7A1);
+    let long = g.vec(512);
+    let long_copy = long.clone();
+    let short = g.vec(96);
+    let mut poisoned = g.vec(300);
+    poisoned[7] = f64::NAN;
+    let queries: Vec<Vec<f64>> = [5, 13, 24, 64, 128, 200]
+        .iter()
+        .map(|&m| g.vec(m))
+        .collect();
+    let series: [&[f64]; 4] = [&long, &long_copy, &short, &poisoned];
+    for policy in [KernelPolicy::Auto, KernelPolicy::ForceKernel] {
+        for inject in [false, true] {
+            let mut evaluator = DistCache::with_policy(policy);
+            if inject {
+                evaluator.inject_kernel_failure("test");
+            }
+            let mut args = Vec::new();
+            for metric in [Metric::ZNormEuclidean, Metric::MeanSquared] {
+                for s in series {
+                    for q in &queries {
+                        args.push((q.as_slice(), s, metric));
+                    }
+                }
+            }
+            let requests: Vec<MinDistRequest> = args
+                .iter()
+                .map(|&(q, s, metric)| MinDistRequest::new(q, s, metric))
+                .collect();
+            let (got, stats) = evaluator.evaluate(&requests);
+            let mut fallbacks = 0;
+            for (r, (&(q, s, metric), got)) in args.iter().zip(&got).enumerate() {
+                let mut fresh = DistCache::with_policy(policy);
+                if inject {
+                    fresh.inject_kernel_failure("test");
+                }
+                let want = fresh.min_dist(q, s, metric);
+                fallbacks += fresh.stats().kernel_fallbacks;
+                assert_bits(
+                    *got,
+                    want,
+                    &format!("{policy:?} inject={inject} request {r}"),
+                );
+            }
+            assert_eq!(stats.kernel_evals, requests.len());
+            assert_eq!(stats.cache_hits, 0);
+            assert_eq!(
+                stats.kernel_fallbacks, fallbacks,
+                "{policy:?} inject={inject}"
+            );
+            if inject {
+                // every kernel-routed request fell back, so this proves the
+                // crossover sent some of them to the FFT path
+                assert!(
+                    fallbacks > 0,
+                    "{policy:?}: no request took the kernel route"
+                );
+            }
+        }
     }
 }

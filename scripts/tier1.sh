@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: what CI and the roadmap treat as "the build is healthy".
 #
-#   scripts/tier1.sh          # release build + full test suite
+#   scripts/tier1.sh          # release build + root tests + contract suites
 #   scripts/tier1.sh --quick  # debug build + lib tests only
 #
 # Formatting is a hard gate: the tree is rustfmt-clean and stays that way
@@ -29,6 +29,9 @@ else
     cargo build --release
     echo "==> cargo test"
     cargo test -q
+    echo "==> contract suites (engine equivalence, core + distance properties)"
+    cargo test -q --release -p ips-core --test engine_equivalence --test props --test sampling_props
+    cargo test -q --release -p ips-distance --test kernel_props --test props
     echo "==> chaos suite (fault injection + validation properties)"
     cargo test -q -p ips-core --test fault_injection --test validate_props
     echo "==> serving layer (persistence round-trip + server)"
