@@ -167,9 +167,9 @@ impl IpsClassifier {
         let features = {
             let _span = metrics.time("fit.transform");
             if config.use_fft_kernel {
-                // Reuse the distance cache accumulated during discovery:
-                // training-series FFT plans carry over, and any (shapelet,
-                // instance) pair scored by Algorithm 4 is already memoized.
+                // Reuse the run cache: it holds the selection's distances
+                // for every (selected shapelet, training series) pair and
+                // its counters; the transform plans its own series.
                 let mut cache = ctx.take_dist_cache();
                 let features = transform.transform_with_cache(train, &mut cache);
                 // Cumulative over discovery + transform — the fit's whole
