@@ -249,6 +249,39 @@ pub fn speedup(num: f64, den: f64) -> String {
     }
 }
 
+/// Deterministic pseudo-random stream (splitmix64): benchmark inputs
+/// must not depend on an RNG crate or wall-clock seeding.
+struct Gen(u64);
+
+impl Gen {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in [-1, 1).
+    fn value(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 52) as f64 * 2.0 - 1.0
+    }
+}
+
+/// The microbenches' deterministic input: a random walk plus a slow
+/// sinusoid, so windows have realistic non-stationary means (the regime
+/// where z-normalization does real work).
+pub fn wandering_series(n: usize, seed: u64) -> Vec<f64> {
+    let mut g = Gen(seed);
+    let mut level = 0.0;
+    (0..n)
+        .map(|i| {
+            level += 0.3 * g.value();
+            level + (i as f64 * 0.05).sin()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -371,18 +371,30 @@ pub fn is_constant_sigma(sd: f64, mu: f64) -> bool {
 ///   a unit-variance vector).
 #[inline]
 pub fn znorm_dist_from_dot(dot: f64, m: usize, mu_q: f64, sd_q: f64, mu_w: f64, sd_w: f64) -> f64 {
+    znorm_sq_from_dot(dot, m, mu_q, sd_q, mu_w, sd_w).sqrt()
+}
+
+/// The squared distance of [`znorm_dist_from_dot`], before its `sqrt`:
+/// `2m(1 − corr)`, `0` or `m` on constant sides, `+∞` when not finite,
+/// never NaN. A correctly rounded `sqrt` is monotone, so a minimum taken
+/// over these values and rooted once equals the minimum of the rooted
+/// values bit for bit — the instance-profile join relies on that.
+///
+/// Not symmetric in its arguments: `m·μq·μw` and `m·σq·σw` round
+/// differently with the sides swapped.
+#[inline]
+pub fn znorm_sq_from_dot(dot: f64, m: usize, mu_q: f64, sd_q: f64, mu_w: f64, sd_w: f64) -> f64 {
     let z = ZnormQuery::new(m, mu_q, sd_q);
-    let sq = match z.constant_sq(mu_w, sd_w) {
+    match z.constant_sq(mu_w, sd_w) {
         Some(sq) => sq,
         None => {
             let (num, den) = z.corr_terms(dot, mu_w, sd_w);
             z.sq_from_corr(num / den)
         }
-    };
-    sq.sqrt()
+    }
 }
 
-/// [`znorm_dist_from_dot`]'s arithmetic in pieces, so
+/// [`znorm_sq_from_dot`]'s arithmetic in pieces, so
 /// [`znorm_min_dist`]'s loop can hoist the query's side out of the window
 /// loop and work on the *squared* distance before the final `sqrt`.
 #[derive(Debug, Clone, Copy)]

@@ -38,7 +38,7 @@ pub use dtw::{dtw, dtw_banded, lb_keogh, DtwOptions};
 pub use euclid::{
     argmax, argmin, dist_profile, dist_profile_znorm, euclidean, is_constant_sigma, mean_sq_dist,
     sliding_min_dist, sliding_min_dist_znorm, sq_euclidean, znorm_dist_from_dot, znorm_min_dist,
-    ZNORM_SIGMA_FLOOR,
+    znorm_sq_from_dot, ZNORM_SIGMA_FLOOR,
 };
 pub use fft::{fft_convolve, Complex, Fft};
 pub use mass::{mass, sliding_dot_products};

@@ -8,9 +8,11 @@
 //! instance, and — because the concatenation is a *sample* rather than the
 //! whole class — yields diverse candidates across repeated draws.
 
+use ips_distance::rolling::RollingStats;
+use ips_distance::znorm_sq_from_dot;
 use ips_tsdata::ClassConcat;
 
-use crate::matrix::{MatrixProfile, Metric};
+use crate::matrix::{sq_dist, Metric};
 
 /// One annotated subsequence of the instance profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,48 +37,74 @@ impl InstanceProfile {
     /// Computes the instance profile of `concat` for window length
     /// `window`.
     ///
-    /// Implementation: one AB-join per ordered instance pair `(a, b)`,
-    /// `a != b`, using the incremental kernels of
-    /// [`MatrixProfile::ab_join`]; the per-subsequence minimum over all `b`
-    /// is the `ip_i` of Definition 9. Subsequences straddling a boundary
-    /// never appear because joins operate on per-instance slices.
+    /// Implementation: one diagonal walk per *unordered* instance pair
+    /// `(p, q)`, `p < q`, over the distance matrix of `p`'s windows
+    /// against `q`'s, with the incremental recurrences of
+    /// [`MatrixProfile::ab_join`](crate::MatrixProfile::ab_join). Each
+    /// cell's running dot product (raw squared distance for
+    /// [`Metric::MeanSquared`]) updates row `i` of `p` and row `j` of `q`
+    /// together, so the minimum over all other instances is the `ip_i` of
+    /// Definition 9. Subsequences straddling a boundary never appear
+    /// because the walk runs on per-instance slices.
+    ///
+    /// The values are bit-identical to taking, per window, the minimum of
+    /// `ab_join(a, b)` over every other instance `b`:
+    ///
+    /// * a cell's dot product has the same bits in both directions
+    ///   (products commute, and the transposed diagonal starts at the
+    ///   transposed cell), and the z-normalized formula runs once per
+    ///   direction with that direction's argument order;
+    /// * minima are taken before the final `sqrt` (z-normalized) or `/ m`
+    ///   (mean squared), both correctly rounded and monotone, so the
+    ///   minimum of the finished values is the finished minimum.
+    ///
+    /// `nn_start` is *a* nearest neighbor: ties may pick a different one
+    /// than the ordered-pair joins would.
     pub fn compute(concat: &ClassConcat, window: usize, metric: Metric) -> Self {
-        let mut entries: Vec<ProfileEntry> = Vec::new();
-        let k = concat.num_instances();
         let values = concat.values();
-        for ai in 0..k {
-            let (a_start, a_len, _) = concat.segment(ai);
-            if a_len < window || window == 0 {
-                continue;
-            }
-            let a_slice = &values[a_start..a_start + a_len];
-            let n_a = a_len - window + 1;
-            let mut best = vec![f64::INFINITY; n_a];
-            let mut best_nn = vec![0usize; n_a];
-            for bi in 0..k {
-                if bi == ai {
-                    continue;
-                }
-                let (b_start, b_len, _) = concat.segment(bi);
-                if b_len < window {
-                    continue;
-                }
-                let b_slice = &values[b_start..b_start + b_len];
-                let mp = MatrixProfile::ab_join(a_slice, b_slice, window, metric);
-                for (i, (&v, &nn)) in mp.values().iter().zip(mp.nn_index()).enumerate() {
-                    if v < best[i] {
-                        best[i] = v;
-                        best_nn[i] = b_start + nn;
-                    }
+        let mut rows: Vec<Row<'_>> = (0..concat.num_instances())
+            .filter_map(|k| {
+                let (start, len, _) = concat.segment(k);
+                (window > 0 && len >= window)
+                    .then(|| Row::new(&values[start..start + len], start, window))
+            })
+            .collect();
+        // Window statistics once per instance, shared by all its pairs.
+        let stats: Vec<RollingStats> = match metric {
+            Metric::MeanSquared => Vec::new(),
+            Metric::ZNormEuclidean => rows
+                .iter()
+                .map(|row| RollingStats::new(row.slice, window))
+                .collect(),
+        };
+        for q in 1..rows.len() {
+            let (head, tail) = rows.split_at_mut(q);
+            let b = &mut tail[0];
+            for (p, a) in head.iter_mut().enumerate() {
+                match metric {
+                    Metric::MeanSquared => join_mean_sq(a, b, window),
+                    Metric::ZNormEuclidean => join_znorm(a, b, &stats[p], &stats[q], window),
                 }
             }
-            entries.extend((0..n_a).map(|i| ProfileEntry {
-                start: a_start + i,
-                value: best[i],
-                nn_start: best_nn[i],
-            }));
         }
-        entries.sort_by_key(|e| e.start);
+        let finish = |best: f64| match metric {
+            Metric::MeanSquared => best / window as f64,
+            Metric::ZNormEuclidean => best.sqrt(),
+        };
+        let entries = rows
+            .iter()
+            .flat_map(|row| {
+                row.best
+                    .iter()
+                    .zip(&row.nn)
+                    .enumerate()
+                    .map(move |(i, (&best, &nn_start))| ProfileEntry {
+                        start: row.start + i,
+                        value: finish(best),
+                        nn_start,
+                    })
+            })
+            .collect();
         Self {
             entries,
             window,
@@ -138,6 +166,102 @@ impl InstanceProfile {
     /// output).
     pub fn values(&self) -> Vec<f64> {
         self.entries.iter().map(|e| e.value).collect()
+    }
+}
+
+/// One instance's side of the join: the running minimum per window
+/// (before the final `sqrt` or `/ m`) and where it was found.
+struct Row<'a> {
+    slice: &'a [f64],
+    /// Offset of the instance in the concatenation.
+    start: usize,
+    best: Vec<f64>,
+    nn: Vec<usize>,
+}
+
+impl<'a> Row<'a> {
+    fn new(slice: &'a [f64], start: usize, window: usize) -> Self {
+        let n = slice.len() - window + 1;
+        Self {
+            slice,
+            start,
+            best: vec![f64::INFINITY; n],
+            nn: vec![0; n],
+        }
+    }
+
+    #[inline]
+    fn update(&mut self, i: usize, sq: f64, nn_start: usize) {
+        if sq < self.best[i] {
+            self.best[i] = sq;
+            self.nn[i] = nn_start;
+        }
+    }
+}
+
+/// The distance-matrix diagonals of `a × b`, as their start cells: the
+/// top row, then the left column, in `MatrixProfile::ab_join`'s order.
+fn diagonal_starts(n_a: usize, n_b: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n_b).map(|j| (0, j)).chain((1..n_a).map(|i| (i, 0)))
+}
+
+/// Mean-squared join of one unordered pair: the raw squared distance is
+/// symmetric bit for bit, so each cell's one value updates both rows.
+fn join_mean_sq(a: &mut Row<'_>, b: &mut Row<'_>, m: usize) {
+    let (sa, sb) = (a.slice, b.slice);
+    let (n_a, n_b) = (a.best.len(), b.best.len());
+    for (i0, j0) in diagonal_starts(n_a, n_b) {
+        // The first cell is not clamped, exactly as in `ab_join`.
+        let mut sq = sq_dist(&sa[i0..i0 + m], &sb[j0..j0 + m]);
+        a.update(i0, sq, b.start + j0);
+        b.update(j0, sq, a.start + i0);
+        for t in 1..(n_a - i0).min(n_b - j0) {
+            let (i, j) = (i0 + t, j0 + t);
+            let drop = sa[i - 1] - sb[j - 1];
+            let add = sa[i + m - 1] - sb[j + m - 1];
+            sq += add * add - drop * drop;
+            let sq_c = sq.max(0.0);
+            a.update(i, sq_c, b.start + j);
+            b.update(j, sq_c, a.start + i);
+        }
+    }
+}
+
+/// Z-normalized join of one unordered pair: one running dot product per
+/// cell, the squared-distance formula evaluated once per direction.
+fn join_znorm(
+    a: &mut Row<'_>,
+    b: &mut Row<'_>,
+    stats_a: &RollingStats,
+    stats_b: &RollingStats,
+    m: usize,
+) {
+    let (sa, sb) = (a.slice, b.slice);
+    let (n_a, n_b) = (a.best.len(), b.best.len());
+    let (mu_a, sd_a) = (stats_a.means(), stats_a.stds());
+    let (mu_b, sd_b) = (stats_b.means(), stats_b.stds());
+    for (i0, j0) in diagonal_starts(n_a, n_b) {
+        let mut qt: f64 = sa[i0..i0 + m]
+            .iter()
+            .zip(&sb[j0..j0 + m])
+            .map(|(x, y)| x * y)
+            .sum();
+        for t in 0..(n_a - i0).min(n_b - j0) {
+            let (i, j) = (i0 + t, j0 + t);
+            if t > 0 {
+                qt += sa[i + m - 1] * sb[j + m - 1] - sa[i - 1] * sb[j - 1];
+            }
+            a.update(
+                i,
+                znorm_sq_from_dot(qt, m, mu_a[i], sd_a[i], mu_b[j], sd_b[j]),
+                b.start + j,
+            );
+            b.update(
+                j,
+                znorm_sq_from_dot(qt, m, mu_b[j], sd_b[j], mu_a[i], sd_a[i]),
+                a.start + i,
+            );
+        }
     }
 }
 

@@ -105,7 +105,7 @@ impl MatrixProfile {
     }
 
     /// Brute-force self-join: O(n²·m). Reference implementation used by the
-    /// tests and the `profile` bench.
+    /// tests.
     pub fn self_join_brute(series: &[f64], window: usize, metric: Metric, excl: usize) -> Self {
         let n_out = num_windows(series.len(), window);
         let mut values = vec![f64::INFINITY; n_out];
@@ -307,7 +307,7 @@ fn num_windows(n: usize, window: usize) -> usize {
 }
 
 #[inline]
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 

@@ -29,9 +29,12 @@ else
     cargo build --release
     echo "==> cargo test"
     cargo test -q
-    echo "==> contract suites (engine equivalence, core + distance properties)"
+    echo "==> contract suites (engine equivalence, per-crate properties)"
     cargo test -q --release -p ips-core --test engine_equivalence --test props --test sampling_props
     cargo test -q --release -p ips-distance --test kernel_props --test props
+    cargo test -q --release -p ips-profile --test props
+    cargo test -q --release -p ips-tsdata --test props --test registry_props
+    cargo test -q --release -p ips-classify -p ips-filter -p ips-lsh -p ips-stats --test props
     echo "==> chaos suite (fault injection + validation properties)"
     cargo test -q -p ips-core --test fault_injection --test validate_props
     echo "==> serving layer (persistence round-trip + server)"
