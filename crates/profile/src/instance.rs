@@ -12,7 +12,7 @@ use ips_distance::rolling::RollingStats;
 use ips_distance::znorm_sq_from_dot;
 use ips_tsdata::ClassConcat;
 
-use crate::matrix::{sq_dist, Metric};
+use crate::matrix::{diagonal_starts, sq_dist, Metric};
 
 /// One annotated subsequence of the instance profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -197,12 +197,6 @@ impl<'a> Row<'a> {
             self.nn[i] = nn_start;
         }
     }
-}
-
-/// The distance-matrix diagonals of `a × b`, as their start cells: the
-/// top row, then the left column, in `MatrixProfile::ab_join`'s order.
-fn diagonal_starts(n_a: usize, n_b: usize) -> impl Iterator<Item = (usize, usize)> {
-    (0..n_b).map(|j| (0, j)).chain((1..n_a).map(|i| (i, 0)))
 }
 
 /// Mean-squared join of one unordered pair: the raw squared distance is

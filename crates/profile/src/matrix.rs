@@ -150,10 +150,7 @@ impl MatrixProfile {
             Metric::MeanSquared => {
                 let m = window;
                 // Diagonal recurrence across the rectangle [0,n_a) × [0,n_b).
-                // Diagonals start on the top row (i=0) or left column (j=0).
-                let mut starts: Vec<(usize, usize)> = (0..n_b).map(|j| (0, j)).collect();
-                starts.extend((1..n_a).map(|i| (i, 0)));
-                for (i0, j0) in starts {
+                for (i0, j0) in diagonal_starts(n_a, n_b) {
                     let mut sq = sq_dist(&a[i0..i0 + m], &b[j0..j0 + m]);
                     update_one(&mut values, &mut nn_index, i0, j0, sq / m as f64);
                     let steps = (n_a - i0).min(n_b - j0);
@@ -170,9 +167,7 @@ impl MatrixProfile {
                 let m = window;
                 let stats_a = RollingStats::new(a, m);
                 let stats_b = RollingStats::new(b, m);
-                let mut starts: Vec<(usize, usize)> = (0..n_b).map(|j| (0, j)).collect();
-                starts.extend((1..n_a).map(|i| (i, 0)));
-                for (i0, j0) in starts {
+                for (i0, j0) in diagonal_starts(n_a, n_b) {
                     let mut qt: f64 = a[i0..i0 + m]
                         .iter()
                         .zip(&b[j0..j0 + m])
@@ -304,6 +299,15 @@ fn num_windows(n: usize, window: usize) -> usize {
     } else {
         n - window + 1
     }
+}
+
+/// The diagonals of an `n_a × n_b` distance matrix, as their start cells:
+/// the top row (`i = 0`), then the left column (`j = 0`). Starting every
+/// diagonal on the border gives cell `(i, j)` of `a × b` the same running
+/// sums as cell `(j, i)` of `b × a`, which the instance-profile join's
+/// bit-identity relies on.
+pub(crate) fn diagonal_starts(n_a: usize, n_b: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n_b).map(|j| (0, j)).chain((1..n_a).map(|i| (i, 0)))
 }
 
 #[inline]
